@@ -14,11 +14,12 @@ import (
 )
 
 // This file regenerates every table and figure of the paper's evaluation as
-// testing.B benchmarks (DESIGN.md §4 maps each artifact to its bench).
-// Figures derived purely from the measured component table reuse one shared
-// measurement campaign; benches that exercise live workloads run them under
-// b.N control. Custom b.ReportMetric units carry the quantities the paper
-// reports (ns per message, model error, percentage speedups).
+// testing.B benchmarks; ARCHITECTURE.md "Paper artifacts and ablations" maps
+// each artifact and ablation (X1-X6) to its bench. Figures derived purely
+// from the measured component table reuse one shared measurement campaign;
+// benches that exercise live workloads run them under b.N control. Custom
+// b.ReportMetric units carry the quantities the paper reports (ns per
+// message, model error, percentage speedups).
 
 var benchCampaign *measure.Result
 
@@ -247,7 +248,7 @@ func BenchmarkFig17dNetworkLatency(b *testing.B) {
 }
 
 // BenchmarkAblationPostModes compares the PIO+inline fast path against the
-// DoorBell+DMA paths (DESIGN.md X1; exercises MRd/CplD).
+// DoorBell+DMA paths (ablation X1 in ARCHITECTURE.md; exercises MRd/CplD).
 func BenchmarkAblationPostModes(b *testing.B) {
 	for _, mode := range []uct.PostMode{uct.PIOInline, uct.DoorbellInline, uct.DoorbellGather} {
 		b.Run(mode.String(), func(b *testing.B) {
@@ -262,7 +263,7 @@ func BenchmarkAblationPostModes(b *testing.B) {
 }
 
 // BenchmarkAblationUnsignaled sweeps the unsignaled-completion period
-// (DESIGN.md X2).
+// (ablation X2 in ARCHITECTURE.md).
 func BenchmarkAblationUnsignaled(b *testing.B) {
 	for _, c := range []int{1, 16, 64} {
 		b.Run("c="+itoa(c), func(b *testing.B) {
@@ -278,8 +279,9 @@ func BenchmarkAblationUnsignaled(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMultiCore scales concurrent injecting cores (DESIGN.md
-// X3; exercises PCIe credit flow control and link serialization).
+// BenchmarkAblationMultiCore scales concurrent injecting cores (ablation X3
+// in ARCHITECTURE.md; exercises PCIe credit flow control and link
+// serialization).
 func BenchmarkAblationMultiCore(b *testing.B) {
 	for _, cores := range []int{1, 8, 32} {
 		b.Run("cores="+itoa(cores), func(b *testing.B) {
@@ -295,7 +297,7 @@ func BenchmarkAblationMultiCore(b *testing.B) {
 }
 
 // BenchmarkAblationSwitch compares switched and direct topologies
-// (DESIGN.md X4).
+// (ablation X4 in ARCHITECTURE.md).
 func BenchmarkAblationSwitch(b *testing.B) {
 	for _, direct := range []bool{false, true} {
 		name := "switched"
@@ -314,8 +316,8 @@ func BenchmarkAblationSwitch(b *testing.B) {
 }
 
 // BenchmarkAblationSizeSweep measures latency across message sizes
-// (DESIGN.md X5: the paper's §1 claim that the software share collapses as
-// messages grow).
+// (ablation X5 in ARCHITECTURE.md: the paper's §1 claim that the software
+// share collapses as messages grow).
 func BenchmarkAblationSizeSweep(b *testing.B) {
 	for _, size := range []int{8, 256, 4096} {
 		b.Run("size="+itoa(size), func(b *testing.B) {
@@ -329,7 +331,7 @@ func BenchmarkAblationSizeSweep(b *testing.B) {
 }
 
 // BenchmarkAblationPollWindow sweeps the post window against the §4.2 bound
-// p >= gen_completion / LLP_post (DESIGN.md X6).
+// p >= gen_completion / LLP_post (ablation X6 in ARCHITECTURE.md).
 func BenchmarkAblationPollWindow(b *testing.B) {
 	for _, w := range []int{1, 8, 32} {
 		b.Run("p="+itoa(w), func(b *testing.B) {

@@ -182,9 +182,11 @@ func simcheck() {
 	}
 }
 
-// ablate runs the design-choice ablations from DESIGN.md. Every sweep point
-// is an isolated fresh system, so all of them fan out on the -parallel pool
-// and print in deterministic order once complete.
+// ablate runs the design-choice ablations X1-X6 listed in ARCHITECTURE.md
+// ("Paper artifacts and ablations"), plus the §4.2 poll-period model and
+// the §7 future-system projection. Every sweep point is an isolated fresh
+// system, so all of them fan out on the -parallel pool and print in
+// deterministic order once complete.
 func ablate() {
 	o := opts()
 	par := *flagParallel

@@ -61,7 +61,7 @@ func main() {
 	fmt.Println()
 	fmt.Println("The chaos soak never trips this: its heartbeat probe drives the")
 	fmt.Println("transport to retry exhaustion, the endpoint error cancels the")
-	fmt.Println("receive (mpi.Rank.CheckFailed), and an absolute deadline backstops")
+	fmt.Println("receive (mpi.PendingSet), and an absolute deadline backstops")
 	fmt.Println("the detector itself.")
 }
 

@@ -12,10 +12,10 @@ import (
 	"breakband/internal/verbs"
 )
 
-// TestAnalyzerPassivity asserts the DESIGN.md promise behind the paper's §3
-// claim ("the overhead of the PCIe analyzer is negligible... a passive
-// instrument"): enabling or disabling the trace tap changes nothing about
-// simulated timing.
+// TestAnalyzerPassivity asserts the promise ARCHITECTURE.md makes under
+// "Observability", behind the paper's §3 claim ("the overhead of the PCIe
+// analyzer is negligible... a passive instrument"): enabling or disabling
+// the trace tap changes nothing about simulated timing.
 func TestAnalyzerPassivity(t *testing.T) {
 	t.Parallel()
 	run := func(tapEnabled bool) (float64, float64) {

@@ -154,3 +154,14 @@ func (m *Memory) ReadInto(addr uint64, dst []byte) {
 	m.check(addr, len(dst), "read")
 	m.readAt(addr, dst)
 }
+
+// ByteAt reads the one byte at addr, with ReadInto's bounds check. It is the
+// probe for a polled ownership byte: an empty poll copies one byte instead
+// of a whole entry.
+func (m *Memory) ByteAt(addr uint64) byte {
+	m.check(addr, 1, "read")
+	if addr < uint64(len(m.buf)) {
+		return m.buf[addr]
+	}
+	return 0
+}

@@ -266,3 +266,36 @@ func TestEnsureClampNearTop(t *testing.T) {
 		t.Errorf("untouched bytes below the write read %v, want zeros", got)
 	}
 }
+
+// TestByteAt pins the one-byte probe against ReadInto: the same bounds
+// panic, zeros past the lazy backing, and stores visible at once.
+func TestByteAt(t *testing.T) {
+	m := New(1 << 20)
+	panicOf := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	for _, addr := range []uint64{1 << 20, 1<<20 + 7, math.MaxUint64} {
+		want := panicOf(func() { m.ReadInto(addr, make([]byte, 1)) })
+		got := panicOf(func() { m.ByteAt(addr) })
+		if want == nil || got != want {
+			t.Errorf("ByteAt(%#x) panic = %v, ReadInto's = %v", addr, got, want)
+		}
+	}
+
+	if got := m.ByteAt(1<<20 - 1); got != 0 {
+		t.Errorf("byte past the backing store = %d, want 0", got)
+	}
+	m.Write(100, []byte{1, 2, 3})
+	if got := m.ByteAt(101); got != 2 {
+		t.Errorf("ByteAt after Write = %d, want 2", got)
+	}
+	if got := m.ByteAt(uint64(len(m.buf))); got != 0 {
+		t.Errorf("first byte past the grown backing = %d, want 0", got)
+	}
+	m.Write(101, []byte{9})
+	if got := m.ByteAt(101); got != 9 {
+		t.Errorf("ByteAt after overwrite = %d, want 9", got)
+	}
+}

@@ -103,6 +103,10 @@ type Rank struct {
 
 	inRecvWait bool
 
+	// completions counts request terminations; with the LLP's error
+	// completion count it forms the rank's completion epoch (see epoch).
+	completions uint64
+
 	prepF    prepFrame
 	isendF   isendFrame
 	waitF    waitFrame
@@ -252,7 +256,7 @@ func (f *isendFrame) Step(t *sim.Task) {
 			// MPICH send-completion callback.
 			ct.Advance(r.Cfg.SW.MpichSendCB.Sample(r.Node.Rand))
 			r.Stats.SendCallbacks++
-			req.done = true
+			r.finish(req)
 		})
 	case 1:
 		ucpReq, err := f.ep.LastSend()
@@ -261,7 +265,7 @@ func (f *isendFrame) Step(t *sim.Task) {
 			// state): the request terminates immediately with the error
 			// instead of panicking — MPI_Wait reports it as a status.
 			f.req.err = err
-			f.req.done = true
+			r.finish(f.req)
 		}
 		f.req.ucpReq = ucpReq
 		r.profEndAs(t, f.ucpTok, r.ProfUcpSend, "ucp_tag_send_nb")
@@ -288,12 +292,12 @@ func (r *Rank) Irecv(t *sim.Task, src int, tag int) *Request {
 		}
 		ct.Advance(r.Cfg.SW.MpichRecvCB.Sample(r.Node.Rand))
 		r.Stats.RecvCallbacks++
-		req.done = true
+		r.finish(req)
 		r.profEndAs(ct, tok, r.ProfMpichCB, "mpich_recv_cb")
 	})
 	// An unexpected message may have completed it synchronously.
 	if req.ucpReq.Completed() {
-		req.done = true
+		r.finish(req)
 		return req
 	}
 	// Late post against a dead peer: short-circuit with the endpoint error
@@ -302,9 +306,26 @@ func (r *Rank) Irecv(t *sim.Task, src int, tag int) *Request {
 	// already delivered before the failure still matches above.
 	if ep, ok := r.eps[src]; ok && ep.Err() != nil {
 		r.Worker.CancelRecv(t, req.ucpReq, ep.Err())
-		req.done = true
+		r.finish(req)
 	}
 	return req
+}
+
+// finish terminates a request, by success or failure. Every termination
+// goes through it, so the completion epoch moves with each one.
+func (r *Rank) finish(req *Request) {
+	req.done = true
+	r.completions++
+}
+
+// epoch is the rank's completion epoch. It moves whenever a request
+// terminates and whenever the LLP polls an error completion, the only way
+// an endpoint's Err is set. Between two equal readings no request changed
+// state and no endpoint changed health, so a failure scan over a fixed set
+// of requests would find exactly what the last one found. Both counters
+// only grow: nothing resets a worker's Stats.
+func (r *Rank) epoch() uint64 {
+	return r.completions + r.Worker.Uct.Stats.ErrorCQEs
 }
 
 // checkFailed tests a pending request against its endpoint's health and
@@ -325,18 +346,55 @@ func (r *Rank) checkFailed(t *sim.Task, req *Request) bool {
 		return false
 	}
 	r.Worker.CancelRecv(t, req.ucpReq, ep.Err())
-	req.done = true
+	r.finish(req)
 	return true
 }
 
-// CheckFailed is the public form of the wait loop's failure test, for
-// callers that drive the progress engine themselves (chaos harnesses,
-// failure detectors): it terminates a pending receive whose source endpoint
-// has errored and reports whether the request is finished (by success or
-// failure).
-func (r *Rank) CheckFailed(t *sim.Task, req *Request) bool {
-	return r.checkFailed(t, req)
+// PendingSet is the failure-aware scan a wait loop runs on every spin over
+// a fixed set of requests: it cancels each pending receive whose source
+// endpoint has errored and counts the requests still pending. The scan
+// reruns only when the rank's completion epoch has moved since the last
+// one; otherwise it would cancel nothing and count the same, so an idle
+// spin costs O(1) host work however many requests are pending, and the
+// simulated work is unchanged. Waitall uses it, and so can callers that
+// drive the progress engine themselves (chaos harnesses, failure
+// detectors).
+type PendingSet struct {
+	r       *Rank
+	reqs    []*Request
+	scanned bool
+	epoch   uint64
+	pending int
+	err     error
 }
+
+// Reset points the set at reqs on rank r and forgets any earlier scan.
+func (s *PendingSet) Reset(r *Rank, reqs []*Request) {
+	*s = PendingSet{r: r, reqs: reqs}
+}
+
+// Pending terminates the pending receives whose source endpoint has
+// errored and reports how many requests are still pending.
+func (s *PendingSet) Pending(t *sim.Task) int {
+	r := s.r
+	if s.scanned && s.epoch == r.epoch() {
+		return s.pending
+	}
+	n := 0
+	for _, q := range s.reqs {
+		if !r.checkFailed(t, q) {
+			n++
+		} else if err := q.Err(); err != nil && s.err == nil {
+			s.err = err
+		}
+	}
+	// Read the epoch after the scan: its own cancellations moved it.
+	s.scanned, s.epoch, s.pending = true, r.epoch(), n
+	return n
+}
+
+// Err reports the first failure the scans found, in request order, or nil.
+func (s *PendingSet) Err() error { return s.err }
 
 // CancelRecv abandons a pending receive with the given error, as when an
 // application-level deadline expires while the peer is unreachable. The
@@ -349,7 +407,7 @@ func (r *Rank) CancelRecv(t *sim.Task, req *Request, err error) bool {
 	if !r.Worker.CancelRecv(t, req.ucpReq, err) {
 		return false
 	}
-	req.done = true
+	r.finish(req)
 	return true
 }
 
@@ -454,7 +512,7 @@ func (f *waitFrame) beginProgress(t *sim.Task) {
 // MPICH executes its progress engine until every listed operation completes.
 func (r *Rank) StartWaitall(t *sim.Task, reqs []*Request) {
 	r.waitallF.pc = 0
-	r.waitallF.reqs = reqs
+	r.waitallF.set.Reset(r, reqs)
 	t.Call(&r.waitallF)
 }
 
@@ -465,9 +523,9 @@ func (r *Rank) Waitall(t *sim.Task, reqs []*Request) {
 }
 
 type waitallFrame struct {
-	r    *Rank
-	pc   int
-	reqs []*Request
+	r   *Rank
+	pc  int
+	set PendingSet
 
 	progTok  profTok
 	progProf bool
@@ -481,14 +539,8 @@ func (f *waitallFrame) Step(t *sim.Task) {
 			t.Advance(r.Cfg.SW.MpichWaitEnt.Sample(r.Node.Rand))
 			f.pc = 1
 		case 1:
-			remaining := 0
-			for _, q := range f.reqs {
-				if !r.checkFailed(t, q) {
-					remaining++
-				}
-			}
-			if remaining == 0 {
-				f.reqs = nil
+			if f.set.Pending(t) == 0 {
+				f.set = PendingSet{}
 				t.Return()
 				return
 			}

@@ -15,9 +15,16 @@ import (
 // crash at the given time (no restart: the peer stays dead).
 func faultHarness(t *testing.T, crashAt units.Time) (*node.System, *Comm) {
 	t.Helper()
+	return crashHarness(t, faults.Crash{Node: 1, At: crashAt})
+}
+
+// crashHarness builds the two-node harness with the given NIC crashes
+// scheduled.
+func crashHarness(t *testing.T, crashes ...faults.Crash) (*node.System, *Comm) {
+	t.Helper()
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
 	cfg.Bench.SignalPeriod = 1 // blocking sends complete via per-message CQEs
-	cfg.Faults.Crashes = []faults.Crash{{Node: 1, At: crashAt}}
+	cfg.Faults.Crashes = crashes
 	sys := node.NewSystem(cfg, 2)
 	comm := NewComm(sys.Nodes[:2], cfg, uct.PIOInline)
 	return sys, comm

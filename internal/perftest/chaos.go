@@ -180,15 +180,16 @@ func chaosStamp(msg []byte, i int) {
 // application-level failure detector: whenever completion stalls it keeps
 // one heartbeat Isend outstanding toward the peer, so a dead or restarted
 // endpoint is discovered through the transport's ACK-timeout ->
-// retry-exhaustion path and CheckFailed can flush the pending receives. A
-// hard deadline backstops failure shapes the transport cannot attribute:
-// on expiry the pending receives are cancelled and the frame keeps
-// progressing until the remaining sends terminate on their own transport
-// bound, so the wait always drains.
+// retry-exhaustion path and the mpi.PendingSet scan can flush the pending
+// receives. A hard deadline backstops failure shapes the transport cannot
+// attribute: on expiry the pending receives are cancelled and the frame
+// keeps progressing until the remaining sends terminate on their own
+// transport bound, so the wait always drains.
 type hbWaitFrame struct {
 	r    *mpi.Rank
 	peer int
 	reqs []*mpi.Request
+	set  mpi.PendingSet
 	hb   bool
 	opt  *ChaosOptions
 
@@ -204,6 +205,7 @@ type hbWaitFrame struct {
 
 func (f *hbWaitFrame) reset(r *mpi.Rank, peer int, reqs []*mpi.Request, hb bool, opt *ChaosOptions) {
 	f.r, f.peer, f.reqs, f.hb, f.opt = r, peer, reqs, hb, opt
+	f.set.Reset(r, reqs)
 	f.err, f.cancels, f.hbReq, f.expired, f.pc = nil, 0, nil, false, 0
 	if hb && f.hbMsg == nil {
 		f.hbMsg = make([]byte, 8)
@@ -218,21 +220,16 @@ func (f *hbWaitFrame) Step(t *sim.Task) {
 			f.hbNext = t.Now() + f.opt.HbEvery
 			f.pc = 1
 		case 1: // poll-loop head
-			remaining := 0
-			for _, q := range f.reqs {
-				if r.CheckFailed(t, q) {
-					if err := q.Err(); err != nil && f.err == nil {
-						f.err = err
-					}
-				} else {
-					remaining++
-				}
+			remaining := f.set.Pending(t)
+			if f.err == nil {
+				f.err = f.set.Err()
 			}
 			if f.hbReq != nil && f.hbReq.Done() {
 				f.hbReq = nil
 			}
 			if remaining == 0 && f.hbReq == nil {
 				f.reqs = nil
+				f.set = mpi.PendingSet{}
 				t.Return()
 				return
 			}

@@ -991,13 +991,16 @@ func (f *replenishFrame) Step(t *sim.Task) {
 // readCQ reads the CQ slot for consumer counter ci and returns the decoded
 // CQE if its generation marks it valid. The caller must have paused
 // immediately beforehand: the read must observe every completion DMA-written
-// up to the task's current virtual time. The returned CQE is the worker's
-// scratch: it (and its payload) is only valid until the next read.
+// up to the task's current virtual time. Only the ownership byte is read
+// first, so an empty poll copies one byte; the full entry is copied and
+// decoded only when the generation matches. The returned CQE is the
+// worker's scratch: it (and its payload) is only valid until the next read.
 func (e *Ep) readCQ(ring mlx.Ring, ci uint16) *mlx.CQE {
-	e.w.Node.Mem.ReadInto(ring.EntryAddr(ci), e.w.scratch[:])
-	if e.w.scratch[mlx.CQESize-1] != ring.Gen(ci) {
+	addr := ring.EntryAddr(ci)
+	if e.w.Node.Mem.ByteAt(addr+mlx.CQESize-1) != ring.Gen(ci) {
 		return nil
 	}
+	e.w.Node.Mem.ReadInto(addr, e.w.scratch[:])
 	if err := e.w.cqe.DecodeFrom(e.w.scratch[:]); err != nil {
 		panic(fmt.Sprintf("uct: corrupt CQE at ci=%d: %v", ci, err))
 	}

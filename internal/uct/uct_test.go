@@ -3,9 +3,11 @@ package uct
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"breakband/internal/config"
+	"breakband/internal/mlx"
 	"breakband/internal/node"
 	"breakband/internal/sim"
 	"breakband/internal/units"
@@ -298,4 +300,30 @@ func TestModeString(t *testing.T) {
 		DoorbellGather.String() != "doorbell-gather" {
 		t.Error("mode strings")
 	}
+}
+
+// TestReadCQOwnershipProbe: readCQ decides emptiness from the ownership
+// byte alone, and a slot whose generation matches but whose body is
+// corrupt still reaches the decode panic.
+func TestReadCQOwnershipProbe(t *testing.T) {
+	sys, _, _, e0, _ := harness(t)
+	defer sys.Shutdown()
+	ring := e0.qp.SendCQ
+	var raw [mlx.CQESize]byte
+	raw[0] = 0xff // no such CQE opcode
+
+	sys.Nodes[0].Mem.Write(ring.EntryAddr(0), raw[:])
+	if cqe := e0.readCQ(ring, 0); cqe != nil {
+		t.Fatalf("slot with a stale generation decoded as %+v", cqe)
+	}
+
+	raw[mlx.CQESize-1] = ring.Gen(0)
+	sys.Nodes[0].Mem.Write(ring.EntryAddr(0), raw[:])
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "uct: corrupt CQE at ci=0") {
+			t.Errorf("owned corrupt CQE: panic %q, want the decode panic", msg)
+		}
+	}()
+	e0.readCQ(ring, 0)
 }
