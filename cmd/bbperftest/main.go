@@ -63,11 +63,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"breakband/internal/config"
 	"breakband/internal/faults"
 	"breakband/internal/node"
 	"breakband/internal/perftest"
+	"breakband/internal/sim"
 	"breakband/internal/topo"
 	"breakband/internal/trace"
 	"breakband/internal/uct"
@@ -177,6 +180,10 @@ func main() {
 			}}
 		}
 		return cfg
+	}
+	if err := checkFlags(test, mkCfg(), nodes); err != nil {
+		fmt.Fprintln(os.Stderr, "bbperftest:", err)
+		os.Exit(2)
 	}
 	mkSys := func() *node.System {
 		return node.NewSystem(mkCfg(), nodes)
@@ -377,6 +384,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bbperftest: unknown test %q\n", test)
 		os.Exit(2)
 	}
+}
+
+// checkFlags rejects flag values that would otherwise panic inside a
+// system build or quietly run nothing, naming the bad flag. It runs before
+// the first system is built.
+func checkFlags(test string, cfg *config.Config, nodes int) error {
+	if *flagSeeds < 1 {
+		return fmt.Errorf("-seeds %d: the chaos ladder needs at least one seed", *flagSeeds)
+	}
+	// Validate unconditionally: Enabled ignores negative rates, so a system
+	// build would run lossless instead of rejecting them.
+	if err := cfg.Faults.Validate(); err != nil {
+		flags := "-droprate/-corruptrate"
+		if test == "flap" {
+			flags += "/-flapdown/-flapup"
+		}
+		return fmt.Errorf("%s: %w", flags, err)
+	}
+	if test == "flap" {
+		fab := topo.NewFabric(sim.NewKernel(), cfg.Fabric, cfg.Topology, nodes)
+		if ports := fab.SwitchPortNames(); !slices.Contains(ports, *flagFlapPort) {
+			return fmt.Errorf("-flapport %q: no such switch port on %v (switch ports: %s)",
+				*flagFlapPort, fab.Spec(), strings.Join(ports, " "))
+		}
+	}
+	return nil
 }
 
 // report appends the uniform observability tail every command shares: the

@@ -44,17 +44,6 @@ func TestDisabledAndClear(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	a := New("n0")
-	a.Limit = 2
-	for i := 0; i < 5; i++ {
-		a.ObserveTLP(units.Time(i), pcie.Down, tlp(pcie.MWr, uint64(i), 8, 0))
-	}
-	if len(a.Records()) != 2 {
-		t.Errorf("limit not enforced: %d", len(a.Records()))
-	}
-}
-
 func TestDeltas(t *testing.T) {
 	recs := []Record{
 		{At: units.Nanoseconds(100)},
@@ -129,73 +118,5 @@ func TestKind(t *testing.T) {
 	r = Record{IsTLP: false, DLLPType: pcie.UpdateFC}
 	if r.Kind() != "UpdateFC" {
 		t.Error("DLLP kind")
-	}
-}
-
-func TestRingWraparound(t *testing.T) {
-	a := New("n0")
-	a.SetRing(4)
-	for i := 0; i < 10; i++ {
-		a.ObserveTLP(units.Time(i*100), pcie.Down, tlp(pcie.MWr, uint64(i), 8, uint64(i)))
-	}
-	if a.Len() != 4 {
-		t.Fatalf("ring held %d records, want 4", a.Len())
-	}
-	if a.Overwritten() != 6 {
-		t.Errorf("overwritten %d, want 6", a.Overwritten())
-	}
-	recs := a.Records()
-	for i, r := range recs {
-		if want := uint64(6 + i); r.Seq != want {
-			t.Errorf("record %d has seq %d, want %d (oldest-first tail)", i, r.Seq, want)
-		}
-	}
-	// The trace table over a wrapped ring must also start at the oldest
-	// record, not the overwrite cursor.
-	if got := a.FormatTrace(1); !strings.Contains(got, "600ps") {
-		t.Errorf("FormatTrace does not start at the oldest record:\n%s", got)
-	}
-}
-
-func TestRingDeltasAfterWrap(t *testing.T) {
-	a := New("n0")
-	a.SetRing(3)
-	// 7 captures 280ns apart: the ring keeps the last 3, so deltas over
-	// Records() must see exactly 2 gaps of 280ns each — time-ordered
-	// despite the buffer having wrapped twice.
-	for i := 0; i < 7; i++ {
-		a.ObserveTLP(units.Nanoseconds(float64(100+280*i)), pcie.Down, tlp(pcie.MWr, uint64(i), 64, 0))
-	}
-	s := Deltas(a.Records())
-	if s.N() != 2 || s.Mean() != 280 {
-		t.Errorf("wrapped deltas n=%d mean=%v, want 2 x 280ns", s.N(), s.Mean())
-	}
-	if s.Min() != s.Max() {
-		t.Errorf("wrapped record order is not time order: deltas %v..%v", s.Min(), s.Max())
-	}
-}
-
-func TestRingClearAndModeSwitch(t *testing.T) {
-	a := New("n0")
-	a.SetRing(2)
-	for i := 0; i < 5; i++ {
-		a.ObserveTLP(units.Time(i), pcie.Down, tlp(pcie.MWr, uint64(i), 8, 0))
-	}
-	a.Clear()
-	if a.Len() != 0 || a.Overwritten() != 0 {
-		t.Errorf("Clear left len=%d overwritten=%d", a.Len(), a.Overwritten())
-	}
-	a.ObserveTLP(7, pcie.Down, tlp(pcie.MWr, 7, 8, 0))
-	if a.Len() != 1 || a.Records()[0].Seq != 7 {
-		t.Error("ring does not capture after Clear")
-	}
-	// Back to chunked mode: unbounded again, Limit honoured again.
-	a.SetRing(0)
-	a.Limit = 3
-	for i := 0; i < 5; i++ {
-		a.ObserveTLP(units.Time(i), pcie.Down, tlp(pcie.MWr, uint64(i), 8, 0))
-	}
-	if a.Len() != 3 {
-		t.Errorf("chunked mode after ring: len=%d, want Limit=3", a.Len())
 	}
 }

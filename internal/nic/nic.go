@@ -68,6 +68,7 @@ import (
 	"breakband/internal/mlx"
 	"breakband/internal/pcie"
 	"breakband/internal/sim"
+	"breakband/internal/topo"
 	"breakband/internal/trace"
 	"breakband/internal/units"
 )
@@ -346,7 +347,7 @@ type NIC struct {
 	id   int
 	mem  *memsim.Memory
 	link *pcie.Link
-	net  fabric.Deliverer
+	net  *topo.Fabric
 	cfg  Config
 	// tr is the kernel's event tracer, captured at construction (nil when
 	// tracing is disabled — every emit site is behind one pointer test).
@@ -442,9 +443,8 @@ var (
 )
 
 // New creates a NIC with the given fabric identity, attaching it to the PCIe
-// link's endpoint side and to the network (any fabric.Deliverer: the
-// two-endpoint fabric.Network or a compiled internal/topo topology).
-func New(k *sim.Kernel, id int, mem *memsim.Memory, link *pcie.Link, net fabric.Deliverer, cfg Config) *NIC {
+// link's endpoint side and to the compiled topology fabric.
+func New(k *sim.Kernel, id int, mem *memsim.Memory, link *pcie.Link, net *topo.Fabric, cfg Config) *NIC {
 	if cfg.BARStride == 0 {
 		cfg.BARStride = 0x1000
 	}

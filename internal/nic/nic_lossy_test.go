@@ -14,17 +14,11 @@ import (
 )
 
 // lossyRig is the two-NIC rig with a fault schedule compiled into the
-// back-to-back fabric and the reliability timers armed.
+// two-host fabric and the reliability timers armed.
 func lossyRig(t *testing.T, cfg Config, fcfg faults.Config) *rig {
 	t.Helper()
 	k := sim.NewKernel()
-	net := fabric.New(k, fabric.Config{
-		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
-		SwitchLatency: units.Nanoseconds(108),
-		UseSwitch:     true,
-	})
+	net := newNet(k, rigWire(true))
 	linkCfg := pcie.DefaultLinkConfig()
 	rcCfg := pcie.RCConfig{
 		RCToMemBase:      units.Nanoseconds(240),
@@ -257,13 +251,7 @@ func TestTimeoutBackoffExponential(t *testing.T) {
 func TestAdaptiveRnrTimer(t *testing.T) {
 	run := func(advertised units.Time) units.Time {
 		k := sim.NewKernel()
-		net := fabric.New(k, fabric.Config{
-			WireProp:      units.Nanoseconds(270),
-			WirePerByte:   units.Time(80),
-			FrameOverhead: 30,
-			SwitchLatency: units.Nanoseconds(108),
-			UseSwitch:     true,
-		})
+		net := newNet(k, rigWire(true))
 		linkCfg := pcie.DefaultLinkConfig()
 		rcCfg := pcie.RCConfig{
 			RCToMemBase:      units.Nanoseconds(240),

@@ -10,8 +10,28 @@ import (
 	"breakband/internal/mlx"
 	"breakband/internal/pcie"
 	"breakband/internal/sim"
+	"breakband/internal/topo"
 	"breakband/internal/units"
 )
+
+// rigWire is the rigs' wire: 80 ps/B serialization, 30 B frame overhead,
+// 270 ns of cable, and a 108 ns switch when useSwitch.
+func rigWire(useSwitch bool) fabric.Config {
+	return fabric.Config{
+		WireProp:      units.Nanoseconds(270),
+		WirePerByte:   units.Time(80),
+		FrameOverhead: 30,
+		SwitchLatency: units.Nanoseconds(108),
+		UseSwitch:     useSwitch,
+	}
+}
+
+// newNet builds the rigs' two-host fabric. topo's Auto spec on two hosts
+// is the calibrated ideal tier: back to back, or one ideal switch when
+// cfg.UseSwitch.
+func newNet(k *sim.Kernel, cfg fabric.Config) *topo.Fabric {
+	return topo.NewFabric(k, cfg, topo.Spec{}, 2)
+}
 
 // rig is a two-node hardware harness without any software stack.
 type rig struct {
@@ -26,13 +46,7 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	k := sim.NewKernel()
-	net := fabric.New(k, fabric.Config{
-		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
-		SwitchLatency: units.Nanoseconds(108),
-		UseSwitch:     true,
-	})
+	net := newNet(k, rigWire(true))
 	linkCfg := pcie.DefaultLinkConfig()
 	rcCfg := pcie.RCConfig{
 		RCToMemBase:      units.Nanoseconds(240),
@@ -345,11 +359,7 @@ func TestRNRNakRacedWithInFlightFrames(t *testing.T) {
 func newBudgetRig(t *testing.T, budget int) *rig {
 	t.Helper()
 	k := sim.NewKernel()
-	net := fabric.New(k, fabric.Config{
-		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
-	})
+	net := newNet(k, rigWire(false))
 	rcCfg := pcie.RCConfig{
 		RCToMemBase:      units.Nanoseconds(240),
 		RCToMemBaseBytes: 64,
@@ -426,11 +436,7 @@ func TestRxBudgetBoundsHeldFramesAndPend(t *testing.T) {
 // monopolizing the shared pend buffering.
 func TestRxBudgetPerQPIsolatesSiblingQP(t *testing.T) {
 	k := sim.NewKernel()
-	net := fabric.New(k, fabric.Config{
-		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
-	})
+	net := newNet(k, rigWire(false))
 	rcCfg := pcie.RCConfig{
 		RCToMemBase:      units.Nanoseconds(240),
 		RCToMemBaseBytes: 64,
@@ -627,10 +633,7 @@ func TestDMATagExhaustionQueues(t *testing.T) {
 	// descriptor fetches are requested back to back.
 	const qps = 300
 	k := sim.NewKernel()
-	net := fabric.New(k, fabric.Config{
-		WireProp:    units.Nanoseconds(270),
-		WirePerByte: units.Time(80),
-	})
+	net := newNet(k, fabric.Config{WireProp: units.Nanoseconds(270), WirePerByte: units.Time(80)})
 	linkCfg := pcie.DefaultLinkConfig()
 	rcCfg := pcie.RCConfig{
 		RCToMemBase:      units.Nanoseconds(240),

@@ -12,11 +12,12 @@ import (
 	"breakband/internal/units"
 )
 
-// Fabric is the compiled topology: a fabric.Deliverer whose frames travel
-// host egress -> switch chain -> destination host, with per-output-port
-// serialization queues and link-level credits (see the package doc). Two
-// hosts on the back-to-back or single-switch spec take the calibrated
-// ideal path instead, bit-identical with fabric.Network.
+// Fabric is the compiled topology, the delivery layer NICs drive: frames
+// travel host egress -> switch chain -> destination host, with
+// per-output-port serialization queues and link-level credits (see the
+// package doc). Two hosts on the back-to-back or single-switch spec take
+// the calibrated ideal path instead: the paper's closed-form two-endpoint
+// model.
 type Fabric struct {
 	k    *sim.Kernel
 	cfg  fabric.Config
@@ -28,8 +29,7 @@ type Fabric struct {
 	// port. Attached-but-unrouted ids live only in the ports map.
 	attached []bool
 
-	// Delivered counts delivered frames by kind, a test hook (mirrors
-	// fabric.Network).
+	// Delivered counts delivered frames by kind, a test hook.
 	Delivered [fabric.NumFrameKinds]uint64
 
 	// Ideal two-endpoint tier (nil switches): one egress serialization,
@@ -71,8 +71,6 @@ type Fabric struct {
 	deliverFn func(any)
 	sendFn    func(any)
 }
-
-var _ fabric.Deliverer = (*Fabric)(nil)
 
 // Switch is one compiled store-and-forward switch.
 type Switch struct {
@@ -335,7 +333,7 @@ func (p *outPort) setUp() {
 
 // NewFabric compiles spec for the given host count on kernel k. Wire
 // parameters (serialization, propagation, switch forwarding latency) come
-// from the same fabric.Config that calibrates the two-endpoint Network.
+// from the fabric.Config the paper's Wire and Switch measurements calibrate.
 func NewFabric(k *sim.Kernel, cfg fabric.Config, spec Spec, hosts int) *Fabric {
 	spec = spec.resolve(cfg, hosts)
 	t := &Fabric{
@@ -371,9 +369,9 @@ func NewFabric(k *sim.Kernel, cfg fabric.Config, spec Spec, hosts int) *Fabric {
 
 	if hosts == 2 && spec.Kind != FatTree {
 		// Calibrated ideal tier: the paper's two-endpoint model, with the
-		// switch (when present) as a cut-through constant. Bit-identical
-		// with fabric.Network by construction — same SerTime/FlightTime
-		// helpers, same single delivery event per frame.
+		// switch (when present) as a cut-through constant — one
+		// SerTime-long egress serialization, then FlightTime, in a single
+		// delivery event per frame.
 		t.ideal = true
 		c := cfg
 		c.UseSwitch = spec.Kind == SingleSwitch
@@ -652,8 +650,8 @@ func (t *Fabric) InjectFaults(inj *faults.Injector) {
 	}
 }
 
-// injectIdeal is InjectFaults for the calibrated two-endpoint tier, which
-// mirrors fabric.Network: per-egress fault state consulted at Send time.
+// injectIdeal is InjectFaults for the calibrated two-endpoint tier:
+// per-egress fault state consulted at Send time.
 func (t *Fabric) injectIdeal(inj *faults.Injector) {
 	if len(inj.Config().Flaps) > 0 {
 		panic(fmt.Sprintf("topo: %s: link flaps need a switched topology (no redundant paths to fail over)", t.spec))
@@ -679,10 +677,7 @@ func (t *Fabric) injectIdeal(inj *faults.Injector) {
 	}
 }
 
-// ---------- fabric.Deliverer ----------
-
-// Config reports the wire/switch parameter set.
-func (t *Fabric) Config() fabric.Config { return t.cfg }
+// ---------- delivery ----------
 
 // Spec reports the resolved topology.
 func (t *Fabric) Spec() Spec { return t.spec }
@@ -736,7 +731,7 @@ func (t *Fabric) Send(f *fabric.Frame) {
 	}
 	if t.ideal {
 		// Calibrated two-endpoint path: egress serialization, then the
-		// constant flight (identical to fabric.Network.Send).
+		// constant flight.
 		start := units.Max(t.k.Now(), t.busyUntil[f.Src])
 		txDone := start + t.cfg.SerTime(f.Bytes)
 		t.busyUntil[f.Src] = txDone
@@ -771,7 +766,9 @@ func (t *Fabric) Send(f *fabric.Frame) {
 }
 
 // AckFor allocates the transport-level acknowledgement frame answering the
-// received Data frame f (same contract as fabric.Network.AckFor).
+// received Data frame f. The caller may retag it as an RnrNak or SeqNak
+// before handing it to SendAck; every kind rides the reverse path
+// identically.
 func (t *Fabric) AckFor(f *fabric.Frame, info fabric.AckInfo) *fabric.Frame {
 	ack := t.frames.Alloc()
 	ack.Kind = fabric.TransportAck
@@ -789,12 +786,6 @@ func (t *Fabric) SendAck(ack *fabric.Frame) {
 		return
 	}
 	t.Send(ack)
-}
-
-// Ack emits the transport-level acknowledgement for a received Data frame
-// back to its source.
-func (t *Fabric) Ack(f *fabric.Frame, info fabric.AckInfo) {
-	t.SendAck(t.AckFor(f, info))
 }
 
 // ---------- observability ----------

@@ -2,8 +2,8 @@
 // declarative multi-switch topologies: a topology Spec is compiled into
 // per-switch routing tables and store-and-forward switches whose output
 // ports model serialization queues and link-level credit flow control, so
-// shared links actually congest. It is the fabric.Deliverer implementation
-// behind every N-node system (node.NewSystem routes all traffic through it).
+// shared links actually congest. Its Fabric is the delivery layer behind
+// every system (node.NewSystem routes all traffic through it).
 //
 // # Scenario catalog
 //
@@ -31,7 +31,7 @@
 // Each directed link is driven by exactly one output port (a host NIC's
 // injection egress or a switch output port). A port serializes frames one
 // at a time (fabric.Config.SerTime — the same arithmetic the two-endpoint
-// Network uses) and owns a FIFO of frames waiting for the wire. The
+// tier uses) and owns a FIFO of frames waiting for the wire. The
 // downstream end of every link advertises Spec.Credits buffer slots: a
 // frame consumes one credit when its transmission starts and returns it
 // when it leaves the downstream element — departing the next switch's
@@ -59,17 +59,15 @@
 //
 // The one deliberate exception is the two-host back-to-back and
 // single-switch topologies, which reproduce the paper's calibrated model
-// bit for bit (one egress serialization, then OneWay's flight time with
-// the switch as an ideal cut-through constant). The golden kernel fixture
-// pins this: a two-endpoint system built through topo is indistinguishable
-// from the original fabric.Network. Contention modelling engages for N>2,
-// where shared ports exist.
+// bit for bit (one egress serialization, then fabric.Config.FlightTime
+// with the switch as an ideal cut-through constant). The golden kernel
+// fixture and TestIdealTierClosedForm pin this tier. Contention modelling
+// engages for N>2, where shared ports exist.
 //
 // # Pooled frames and the borrow contract
 //
-// The fabric owns a generation-checked frame arena identical to
-// fabric.Network's (fabric.NewFrameArena) and obeys the same borrow
-// contract: senders allocate with NewFrame and hand ownership to Send; the
+// The fabric owns a generation-checked frame arena (fabric.NewFrameArena)
+// and obeys the fabric package's borrow contract: senders allocate with NewFrame and hand ownership to Send; the
 // fabric owns frames across every hop (switch queues hold borrowed
 // pointers, never copies); delivery transfers ownership to the receiving
 // port, which must Release. The steady-state switch path allocates

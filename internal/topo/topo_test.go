@@ -29,14 +29,19 @@ type port struct {
 	fab *Fabric
 	got []fabric.FrameKind
 	at  []units.Time
-	ack bool
+	// acks records the AckInfo of every delivered TransportAck.
+	acks []fabric.AckInfo
+	ack  bool
 }
 
 func (p *port) RxFrame(f *fabric.Frame) {
 	p.got = append(p.got, f.Kind)
 	p.at = append(p.at, p.k.Now())
+	if f.Kind == fabric.TransportAck {
+		p.acks = append(p.acks, f.Ack)
+	}
 	if p.ack && f.Kind == fabric.Data {
-		p.fab.Ack(f, fabric.AckInfo{QPN: f.Op.SrcQPN, Counter: f.Op.Counter})
+		p.fab.SendAck(p.fab.AckFor(f, fabric.AckInfo{QPN: f.Op.SrcQPN, Counter: f.Op.Counter}))
 	}
 	f.Release()
 }
@@ -71,8 +76,8 @@ func TestSpecResolve(t *testing.T) {
 		hosts int
 		want  Kind
 	}{
-		{Spec{}, 2, SingleSwitch},             // auto + UseSwitch
-		{Spec{}, 5, SingleSwitch},             // auto N>2
+		{Spec{}, 2, SingleSwitch}, // auto + UseSwitch
+		{Spec{}, 5, SingleSwitch}, // auto N>2
 		{Spec{Kind: BackToBack}, 2, BackToBack},
 		{Spec{Kind: FatTree}, 8, FatTree},
 	}
@@ -127,91 +132,84 @@ func TestSpecValidationPanics(t *testing.T) {
 	}
 }
 
-// TestIdealTierMatchesNetwork drives the same frame schedule through
-// fabric.Network and the two-host topo fabric and requires identical
-// delivery timestamps — the bit-for-bit compatibility the golden fixture
-// relies on.
-func TestIdealTierMatchesNetwork(t *testing.T) {
-	for _, useSwitch := range []bool{false, true} {
-		cfg := testCfg(useSwitch)
-
-		type hit struct {
-			at   units.Time
-			kind fabric.FrameKind
+// TestIdealTierClosedForm pins the calibrated two-endpoint tier (two hosts,
+// back to back or on one switch) to the paper's closed form: a frame waits
+// for its source egress, serializes (cfg.SerTime), then flies for
+// cfg.FlightTime(). The transport ACK rides the same path back after the
+// configured turnaround.
+func TestIdealTierClosedForm(t *testing.T) {
+	type send struct {
+		at             units.Time
+		src, dst, size int
+	}
+	for _, tier := range []struct {
+		kind Kind
+		idle units.Time // literal 8-byte one-way latency
+	}{
+		// (8+30) B x 80 ps = 3.04 ns serialization, 270 ns wire, and the
+		// switch's 108 ns forwarding latency when present.
+		{BackToBack, units.Nanoseconds(273.04)},
+		{SingleSwitch, units.Nanoseconds(273.04 + 108)},
+	} {
+		cfg := testCfg(tier.kind == SingleSwitch)
+		ser, fly := cfg.SerTime, cfg.FlightTime()
+		if got := ser(8) + fly; got != tier.idle {
+			t.Fatalf("%v: closed form gives %v, want %v", tier.kind, got, tier.idle)
 		}
-		run := func(send func(at units.Time, src, dst, bytes int), ack func(), done func() []hit) []hit {
-			// Schedule a mix: pipelined sends (egress serialization), a
-			// reverse-direction frame, different sizes.
-			send(0, 0, 1, 8)
-			send(0, 0, 1, 64)
-			send(units.Nanoseconds(100), 1, 0, 8)
-			send(units.Nanoseconds(400), 0, 1, 2048)
-			ack()
-			return done()
+		cases := []struct {
+			name         string
+			turnaround   units.Time
+			ack          bool // host 1 acks every data frame
+			sends        []send
+			want0, want1 []units.Time // arrivals at host 0 / host 1
+		}{
+			{name: "idle", sends: []send{{0, 0, 1, 8}},
+				want1: []units.Time{tier.idle}},
+			{name: "pipelined", sends: []send{{0, 0, 1, 8}, {0, 0, 1, 64}, {units.Nanoseconds(1), 0, 1, 2048}},
+				want1: []units.Time{ser(8) + fly, ser(8) + ser(64) + fly, ser(8) + ser(64) + ser(2048) + fly}},
+			{name: "reverse independent", sends: []send{{0, 0, 1, 8}, {0, 0, 1, 64}, {0, 1, 0, 8}},
+				want0: []units.Time{ser(8) + fly},
+				want1: []units.Time{ser(8) + fly, ser(8) + ser(64) + fly}},
+			{name: "ack", ack: true, sends: []send{{0, 0, 1, 8}},
+				want0: []units.Time{ser(8) + fly + ser(0) + fly},
+				want1: []units.Time{ser(8) + fly}},
+			{name: "ack turnaround", turnaround: units.Nanoseconds(50), ack: true, sends: []send{{0, 0, 1, 0}},
+				want0: []units.Time{ser(0) + fly + units.Nanoseconds(50) + ser(0) + fly},
+				want1: []units.Time{ser(0) + fly}},
 		}
-
-		// Reference: fabric.Network.
-		kN := sim.NewKernel()
-		net := fabric.New(kN, cfg)
-		var refHits []hit
-		refPort := func(id int) fabric.Port {
-			return rxFunc(func(f *fabric.Frame) {
-				refHits = append(refHits, hit{kN.Now(), f.Kind})
-				if f.Kind == fabric.Data {
-					net.Ack(f, fabric.AckInfo{})
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%v/%s", tier.kind, c.name), func(t *testing.T) {
+				cfg := cfg
+				cfg.AckTurnaround = c.turnaround
+				k, fab, ports := build(t, cfg, Spec{Kind: tier.kind}, 2)
+				ports[1].ack = c.ack
+				for i, s := range c.sends {
+					k.At(s.at, func() {
+						f := fab.NewFrame()
+						f.Kind = fabric.Data
+						f.Src, f.Dst, f.Bytes = s.src, s.dst, s.size
+						f.Op = fabric.TxOp{SrcQPN: 7, Counter: uint16(42 + i)}
+						fab.Send(f)
+					})
 				}
-				f.Release()
-			})
-		}
-		net.Attach(0, refPort(0))
-		net.Attach(1, refPort(1))
-		ref := run(func(at units.Time, src, dst, b int) {
-			kN.At(at, func() {
-				f := net.NewFrame()
-				f.Kind = fabric.Data
-				f.Src = src
-				f.Dst = dst
-				f.Bytes = b
-				net.Send(f)
-			})
-		}, func() {}, func() []hit { kN.Run(); return refHits })
-
-		// Topo two-host auto spec.
-		kT := sim.NewKernel()
-		fab := NewFabric(kT, cfg, Spec{}, 2)
-		var topoHits []hit
-		topoPort := func(id int) fabric.Port {
-			return rxFunc(func(f *fabric.Frame) {
-				topoHits = append(topoHits, hit{kT.Now(), f.Kind})
-				if f.Kind == fabric.Data {
-					fab.Ack(f, fabric.AckInfo{})
+				k.Run()
+				for id, want := range [][]units.Time{c.want0, c.want1} {
+					if fmt.Sprint(ports[id].at) != fmt.Sprint(want) {
+						t.Errorf("host %d arrivals %v, want %v", id, ports[id].at, want)
+					}
 				}
-				f.Release()
+				if c.ack {
+					if len(ports[0].acks) != 1 || ports[0].acks[0] != (fabric.AckInfo{QPN: 7, Counter: 42}) {
+						t.Errorf("initiator got acks %+v, want one for QPN 7 counter 42", ports[0].acks)
+					}
+					if fab.Delivered[fabric.Data] != 1 || fab.Delivered[fabric.TransportAck] != 1 {
+						t.Errorf("delivered counts: %v", fab.Delivered)
+					}
+				}
+				if fab.InUseFrames() != 0 {
+					t.Errorf("%d frames leaked", fab.InUseFrames())
+				}
 			})
-		}
-		fab.Attach(0, topoPort(0))
-		fab.Attach(1, topoPort(1))
-		got := run(func(at units.Time, src, dst, b int) {
-			kT.At(at, func() {
-				f := fab.NewFrame()
-				f.Kind = fabric.Data
-				f.Src = src
-				f.Dst = dst
-				f.Bytes = b
-				fab.Send(f)
-			})
-		}, func() {}, func() []hit { kT.Run(); return topoHits })
-
-		if len(got) != len(ref) {
-			t.Fatalf("useSwitch=%v: %d deliveries, want %d", useSwitch, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Errorf("useSwitch=%v delivery %d: %+v, want %+v", useSwitch, i, got[i], ref[i])
-			}
-		}
-		if fab.InUseFrames() != 0 || net.InUseFrames() != 0 {
-			t.Errorf("useSwitch=%v: leaked frames (topo %d, net %d)", useSwitch, fab.InUseFrames(), net.InUseFrames())
 		}
 	}
 }
@@ -220,6 +218,99 @@ func TestIdealTierMatchesNetwork(t *testing.T) {
 type rxFunc func(*fabric.Frame)
 
 func (fn rxFunc) RxFrame(f *fabric.Frame) { fn(f) }
+
+// hit is one delivery: when, what and where.
+type hit struct {
+	at   units.Time
+	kind fabric.FrameKind
+	dst  int
+}
+
+// refNetwork is the paper's two-endpoint Network component reduced to its
+// definition: each host egress serializes its frames in FIFO order
+// (cfg.SerTime), then every frame flies for cfg.FlightTime(); each
+// delivered data frame is answered by a zero-byte ACK after
+// cfg.AckTurnaround.
+type refNetwork struct {
+	k    *sim.Kernel
+	cfg  fabric.Config
+	busy [2]units.Time
+	hits []hit
+}
+
+func (r *refNetwork) send(kind fabric.FrameKind, src, dst, b int) {
+	start := units.Max(r.k.Now(), r.busy[src])
+	r.busy[src] = start + r.cfg.SerTime(b)
+	r.k.At(r.busy[src]+r.cfg.FlightTime(), func() {
+		r.hits = append(r.hits, hit{r.k.Now(), kind, dst})
+		if kind != fabric.Data {
+			return
+		}
+		if r.cfg.AckTurnaround > 0 {
+			r.k.After(r.cfg.AckTurnaround, func() { r.send(fabric.TransportAck, dst, src, 0) })
+			return
+		}
+		r.send(fabric.TransportAck, dst, src, 0)
+	})
+}
+
+// TestIdealTierMatchesNetwork drives one mixed schedule through the
+// two-host ideal tier and through refNetwork and requires identical
+// deliveries, the bit-for-bit compatibility the golden fixture relies on.
+// Unlike TestIdealTierClosedForm's single-shape cases, the schedule mixes
+// sizes, pipelined sends, a reverse-direction frame and ACKs that share
+// each egress with data.
+func TestIdealTierMatchesNetwork(t *testing.T) {
+	sends := []struct {
+		at             units.Time
+		src, dst, size int
+	}{
+		{0, 0, 1, 8},
+		{0, 0, 1, 64},
+		{units.Nanoseconds(100), 1, 0, 8},
+		{units.Nanoseconds(400), 0, 1, 2048},
+	}
+	for _, useSwitch := range []bool{false, true} {
+		for _, turnaround := range []units.Time{0, units.Nanoseconds(50)} {
+			cfg := testCfg(useSwitch)
+			cfg.AckTurnaround = turnaround
+
+			kR := sim.NewKernel()
+			ref := &refNetwork{k: kR, cfg: cfg}
+			for _, s := range sends {
+				kR.At(s.at, func() { ref.send(fabric.Data, s.src, s.dst, s.size) })
+			}
+			kR.Run()
+
+			k := sim.NewKernel()
+			fab := NewFabric(k, cfg, Spec{}, 2)
+			var got []hit
+			for id := 0; id < 2; id++ {
+				fab.Attach(id, rxFunc(func(f *fabric.Frame) {
+					got = append(got, hit{k.Now(), f.Kind, id})
+					if f.Kind == fabric.Data {
+						fab.SendAck(fab.AckFor(f, fabric.AckInfo{}))
+					}
+					f.Release()
+				}))
+			}
+			for _, s := range sends {
+				sendAt(k, fab, s.at, s.src, s.dst, s.size)
+			}
+			k.Run()
+
+			if len(ref.hits) != 2*len(sends) {
+				t.Fatalf("reference delivered %d frames, want %d", len(ref.hits), 2*len(sends))
+			}
+			if fmt.Sprint(got) != fmt.Sprint(ref.hits) {
+				t.Errorf("useSwitch=%v turnaround=%v: deliveries %v, want %v", useSwitch, turnaround, got, ref.hits)
+			}
+			if fab.InUseFrames() != 0 {
+				t.Errorf("useSwitch=%v turnaround=%v: %d frames leaked", useSwitch, turnaround, fab.InUseFrames())
+			}
+		}
+	}
+}
 
 // TestStarUncontendedLatency pins the engine's per-hop arithmetic: one
 // 8-byte frame through an N=3 star costs two serializations, the full
@@ -414,9 +505,9 @@ func TestDuplicateAttachPanics(t *testing.T) {
 	fab.Attach(0, &port{k: k, fab: fab})
 }
 
-// TestSendPanicsNamePortAndTopology covers the two failure shapes: an
-// unattached destination, and a destination attached under an id the
-// topology never routed.
+// TestSendPanicsNamePortAndTopology covers the two failure shapes on
+// either end of a frame: an unattached port, and a port attached under an
+// id the topology never routed.
 func TestSendPanicsNamePortAndTopology(t *testing.T) {
 	expectPanic := func(t *testing.T, wantSub ...string) {
 		t.Helper()
@@ -444,6 +535,13 @@ func TestSendPanicsNamePortAndTopology(t *testing.T) {
 		fab.Attach(7, &port{k: k, fab: fab}) // beyond the 3 routed hosts
 		defer expectPanic(t, "port 7 is attached but not routed", "hosts 0..2", "switch(hosts=3")
 		k.At(0, func() { fab.Send(&fabric.Frame{Kind: fabric.Data, Src: 0, Dst: 7}) })
+		k.Run()
+	})
+
+	t.Run("unattached source", func(t *testing.T) {
+		k, fab, _ := build(t, testCfg(true), Spec{}, 3)
+		defer expectPanic(t, "no attached source port 9", "switch(hosts=3")
+		k.At(0, func() { fab.Send(&fabric.Frame{Kind: fabric.Data, Src: 9, Dst: 1}) })
 		k.Run()
 	})
 
