@@ -393,6 +393,20 @@ func checkFlags(test string, cfg *config.Config, nodes int) error {
 	if *flagSeeds < 1 {
 		return fmt.Errorf("-seeds %d: the chaos ladder needs at least one seed", *flagSeeds)
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-iters", *flagIters}, {"-warmup", *flagWarmup}, {"-size", *flagSize},
+		{"-cores", *flagCores}, {"-rxbudget", *flagRxBudget},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: must not be negative", f.name, f.v)
+		}
+	}
+	if test == "multi" && *flagCores == 0 {
+		return fmt.Errorf("-cores 0: multi needs at least one injecting core")
+	}
 	// Validate unconditionally: Enabled ignores negative rates, so a system
 	// build would run lossless instead of rejecting them.
 	if err := cfg.Faults.Validate(); err != nil {

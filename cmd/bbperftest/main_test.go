@@ -31,6 +31,12 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{[]string{"-corruptrate", "-1", "lossy"}, []string{"-corruptrate", "corrupt rate -1 "}},
 		{[]string{"-seeds", "0", "chaos"}, []string{"-seeds 0"}},
 		{[]string{"-flapport", "nope", "flap"}, []string{`-flapport "nope"`, "leaf1.up0"}},
+		{[]string{"-size", "-5", "put_bw"}, []string{"-size -5"}},
+		{[]string{"-cores", "-3", "multi"}, []string{"-cores -3"}},
+		{[]string{"-cores", "0", "multi"}, []string{"-cores 0"}},
+		{[]string{"-iters", "-1", "put_bw"}, []string{"-iters -1"}},
+		{[]string{"-warmup", "-4", "put_bw"}, []string{"-warmup -4"}},
+		{[]string{"-rxbudget", "-1", "oversub"}, []string{"-rxbudget -1"}},
 	} {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], c.args...)

@@ -49,7 +49,14 @@ type Memory struct {
 	// writes counts committed store operations, a cheap invariant hook for
 	// tests.
 	writes uint64
+	// watched holds the Watch spans in address order, adjacent regions
+	// merged; watchedWrites counts the Writes that overlapped one.
+	watched       []span
+	watchedWrites uint64
 }
+
+// span is a half-open address range [lo, hi).
+type span struct{ lo, hi uint64 }
 
 // New creates a memory of the given size in bytes.
 func New(size uint64) *Memory {
@@ -76,6 +83,47 @@ func (m *Memory) Alloc(name string, n, align uint64) Region {
 	m.next = base + n
 	m.regions = append(m.regions, r)
 	return r
+}
+
+// Watch adds r to the watched set: every later Write that overlaps it bumps
+// WatchedWrites. A poller that found a watched ring empty can skip
+// re-reading it while the count stands still, because Write is the only way
+// a byte of memory changes. Regions must be watched in address order and
+// must not overlap; Watch panics otherwise.
+func (m *Memory) Watch(r Region) {
+	if r.Size == 0 {
+		return
+	}
+	if n := len(m.watched); n > 0 {
+		last := &m.watched[n-1]
+		if r.Base < last.hi {
+			panic(fmt.Sprintf("memsim: Watch(%q at %#x) overlaps or precedes the watched range ending at %#x", r.Name, r.Base, last.hi))
+		}
+		if r.Base == last.hi {
+			last.hi = r.End()
+			return
+		}
+	}
+	m.watched = append(m.watched, span{r.Base, r.End()})
+}
+
+// WatchedWrites reports how many Writes overlapped a watched region.
+func (m *Memory) WatchedWrites() uint64 { return m.watchedWrites }
+
+// overlapsWatched reports whether the non-empty range [addr, end) overlaps a
+// watched span: a binary search for the first span ending past addr.
+func (m *Memory) overlapsWatched(addr, end uint64) bool {
+	w := m.watched
+	lo, hi := 0, len(w)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if w[mid].hi <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(w) && w[lo].lo < end
 }
 
 // Regions lists allocations in order.
@@ -138,6 +186,9 @@ func (m *Memory) Write(addr uint64, data []byte) {
 	m.ensure(addr + uint64(len(data)))
 	copy(m.buf[addr:], data)
 	m.writes++
+	if len(data) > 0 && m.overlapsWatched(addr, addr+uint64(len(data))) {
+		m.watchedWrites++
+	}
 }
 
 // Read copies n bytes at addr into a fresh slice.

@@ -3,6 +3,7 @@ package memsim
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -297,5 +298,84 @@ func TestByteAt(t *testing.T) {
 	m.Write(101, []byte{9})
 	if got := m.ByteAt(101); got != 9 {
 		t.Errorf("ByteAt after overwrite = %d, want 9", got)
+	}
+}
+
+// TestWatchedWrites pins the overlap test at the region boundaries: a write
+// that ends at Base or starts at End does not count, one that spans into a
+// watched region counts once, and adjacent watched regions merge.
+func TestWatchedWrites(t *testing.T) {
+	m := New(1 << 20)
+	m.Alloc("pad", 256, 64)
+	a := m.Alloc("a", 128, 64) // [256, 384)
+	b := m.Alloc("b", 64, 64)  // [384, 448), adjacent to a
+	m.Alloc("gap", 64, 64)     // [448, 512)
+	c := m.Alloc("c", 64, 64)  // [512, 576)
+	for _, r := range []Region{a, b, c} {
+		m.Watch(r)
+	}
+	if len(m.watched) != 2 {
+		t.Fatalf("watched spans = %v, want a+b merged and c", m.watched)
+	}
+	cases := []struct {
+		name  string
+		addr  uint64
+		n     int
+		count bool
+	}{
+		{"ends exactly at a.Base", a.Base - 8, 8, false},
+		{"starts exactly at b.End", b.End(), 8, false},
+		{"inside the gap", b.End() + 8, 16, false},
+		{"ends exactly at c.Base", c.Base - 64, 64, false},
+		{"starts exactly at c.End", c.End(), 8, false},
+		{"first byte of a", a.Base, 1, true},
+		{"last byte of b", b.End() - 1, 1, true},
+		{"spans into a from below", a.Base - 4, 8, true},
+		{"spans out of c", c.End() - 4, 8, true},
+		{"spans a, b, the gap and c", a.Base - 8, int(c.End()-a.Base) + 16, true},
+		{"empty write inside a", a.Base + 8, 0, false},
+		{"far above every region", 1 << 19, 64, false},
+	}
+	for _, tc := range cases {
+		before := m.WatchedWrites()
+		m.Write(tc.addr, make([]byte, tc.n))
+		got := m.WatchedWrites() - before
+		want := uint64(0)
+		if tc.count {
+			want = 1
+		}
+		if got != want {
+			t.Errorf("%s: [%#x, +%d) bumped the count by %d, want %d", tc.name, tc.addr, tc.n, got, want)
+		}
+	}
+	if m.Writes() != uint64(len(cases)) {
+		t.Errorf("Writes = %d, want %d", m.Writes(), len(cases))
+	}
+}
+
+// TestWatchOrderPanics: regions must be watched in address order, without
+// overlap.
+func TestWatchOrderPanics(t *testing.T) {
+	m := New(1 << 20)
+	a := m.Alloc("a", 128, 64)
+	b := m.Alloc("b", 128, 64)
+	m.Watch(b)
+	for _, tc := range []struct {
+		name string
+		r    Region
+	}{
+		{"out of order", a},
+		{"same region twice", b},
+		{"overlapping the tail", Region{Name: "x", Base: b.End() - 1, Size: 8}},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "memsim: Watch") {
+					t.Errorf("%s: panic %q, want the Watch order panic", tc.name, msg)
+				}
+			}()
+			m.Watch(tc.r)
+		}()
 	}
 }

@@ -588,6 +588,9 @@ func (n *NIC) CreateQP(sqDepth, cqDepth int) *QP {
 		// WQE; software cannot keep more than sqDepth in flight.
 		txRing: make([]txRec, sqDepth),
 	}
+	// Pollers skip rescanning CQs that no Write has touched.
+	n.mem.Watch(qp.SendCQ.Region)
+	n.mem.Watch(qp.RecvCQ.Region)
 	n.qps[qpn] = qp
 	n.byBAR[base] = qp
 	return qp

@@ -171,6 +171,24 @@ type Worker struct {
 	// Preallocated frames (one progress chain per worker at a time).
 	progF progressFrame
 	replF replenishFrame
+
+	// Idle-pass memo. A CQ scan's answer depends only on each CQ's
+	// ownership byte at its consumer index; those bytes change only
+	// through memsim Writes to the watched CQ rings, and consumer indices
+	// move only when a pass consumes a CQE. So while scanClean holds (the
+	// last scan found every CQ empty) and neither the watched-write count
+	// nor the endpoint set moved since that scan began, a new scan would
+	// find nothing and is skipped. Consuming a CQE clears scanClean: the
+	// slot behind the moved consumer index has not been probed.
+	scanClean  bool
+	scanWrites uint64
+	scanEps    int
+	// owedRecv is the sum of every endpoint's owedRecvCredits, so an idle
+	// pass with nothing owed skips the replenish walk.
+	owedRecv int
+	// probes and replVisits count ownership-byte reads and replenish-walk
+	// endpoint visits: exact host-work counters for tests.
+	probes, replVisits uint64
 }
 
 // NewWorker builds an LLP worker on a node. The worker draws its software
@@ -794,6 +812,17 @@ func (f *progressFrame) Step(t *sim.Task) {
 				return
 			}
 		case 2:
+			if f.i == 0 {
+				// Every read of a scan happens at this one instant: the
+				// Pause above absorbed all lag and an empty read advances
+				// nothing, so later Pauses of the scan never yield.
+				ww := w.Node.Mem.WatchedWrites()
+				if w.scanClean && ww == w.scanWrites && len(w.Eps) == w.scanEps {
+					f.pc = 6
+					continue
+				}
+				w.scanWrites, w.scanEps = ww, len(w.Eps)
+			}
 			e := w.Eps[f.i]
 			cqe := e.readCQ(e.qp.SendCQ, e.sendCI)
 			if cqe == nil {
@@ -803,6 +832,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 			}
 			t.Advance(sw.LLPProgCQERead.Sample(r))
 			e.sendCI++
+			w.scanClean = false
 			n := int(cqe.WQECounter - e.completed + 1)
 			e.completed = cqe.WQECounter + 1
 			w.Stats.SendCQEs++
@@ -854,6 +884,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 			}
 			t.Advance(sw.LLPProgCQERead.Sample(r))
 			e.recvCI++
+			w.scanClean = false
 			w.Stats.RecvCQEs++
 			if cqe.Status != mlx.CQEOK {
 				// Flushed receive: the QP entered the error state (the
@@ -918,6 +949,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 			}
 			w.profEndAs(t, f.tok, StLLPProg.Name())
 			e.owedRecvCredits++
+			w.owedRecv++
 			f.n = 1
 			f.data = nil
 			if e.owedRecvCredits >= replenishBatch {
@@ -935,6 +967,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 		case 6:
 			// Empty poll: pay the failed check and use the idle time to
 			// repost owed receive credits.
+			w.scanClean = true
 			t.Advance(sw.LLPProgFailChk.Sample(r))
 			w.Stats.EmptyPolls++
 			w.profEndAs(t, f.tok, "empty_poll")
@@ -942,12 +975,13 @@ func (f *progressFrame) Step(t *sim.Task) {
 			f.i = 0
 			f.pc = 9
 		case 9:
-			if f.i >= len(w.Eps) {
+			if f.i >= len(w.Eps) || w.owedRecv == 0 {
 				t.Return()
 				return
 			}
 			e := w.Eps[f.i]
 			f.i++
+			w.replVisits++
 			if e.owedRecvCredits == 0 {
 				continue
 			}
@@ -983,6 +1017,7 @@ func (f *replenishFrame) Step(t *sim.Task) {
 		case 1:
 			e.postOneRecv()
 			e.owedRecvCredits--
+			e.w.owedRecv--
 			f.pc = 0
 		}
 	}
@@ -997,6 +1032,7 @@ func (f *replenishFrame) Step(t *sim.Task) {
 // worker's scratch: it (and its payload) is only valid until the next read.
 func (e *Ep) readCQ(ring mlx.Ring, ci uint16) *mlx.CQE {
 	addr := ring.EntryAddr(ci)
+	e.w.probes++
 	if e.w.Node.Mem.ByteAt(addr+mlx.CQESize-1) != ring.Gen(ci) {
 		return nil
 	}
