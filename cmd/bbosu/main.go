@@ -35,6 +35,10 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
+	if err := checkFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, "bbosu:", err)
+		os.Exit(2)
+	}
 	noise := config.NoiseOff
 	if *flagNoise {
 		noise = config.NoiseOn
@@ -57,4 +61,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bbosu: unknown test %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
+}
+
+// checkFlags rejects flag values that would otherwise panic inside the
+// benchmark or print a meaningless rate, naming the bad flag. Zero keeps
+// each flag's default, so only negative values are errors.
+func checkFlags() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-windows", *flagWindows}, {"-window", *flagWindow},
+		{"-iters", *flagIters}, {"-size", *flagSize},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: must not be negative", f.name, f.v)
+		}
+	}
+	return nil
 }

@@ -69,6 +69,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := checkFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, "breakband:", err)
+		os.Exit(2)
+	}
 	cmd := strings.ToLower(flag.Arg(0))
 	switch cmd {
 	case "table1":
@@ -119,6 +123,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "breakband: unknown command %q\n", cmd)
 		os.Exit(2)
 	}
+}
+
+// checkFlags rejects flag values that would otherwise print a meaningless
+// figure or rate, or be silently replaced, naming the bad flag.
+func checkFlags() error {
+	if *flagSamples < 100 {
+		return fmt.Errorf("-samples %d: the paper's floor is 100 samples per component", *flagSamples)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-windows", *flagWindows}, {"-fig7-iters", *flagFig7N}, {"-parallel", *flagParallel},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: must not be negative", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // fig6 prints a PCIe trace snippet of downstream transactions during put_bw,

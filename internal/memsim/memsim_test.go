@@ -250,26 +250,23 @@ func TestAllocOverflowPanics(t *testing.T) {
 	m.Alloc("huge", math.MaxUint64-16, 64)
 }
 
-// TestEnsureClampNearTop exercises the ensure clamp-vs-end interaction: a
-// legal write near the top of a non-power-of-two memory makes the doubling
-// loop overshoot the size; the clamp must never land below the requested
-// end. The geometry here (size 10000, doubling hits 16384 > size > end)
-// walks exactly that path.
+// TestEnsureClampNearTop writes the top bytes of a memory whose size is not
+// a multiple of the page size: the last page reaches past the size, and the
+// write must land, with the untouched bytes below it still zero.
 func TestEnsureClampNearTop(t *testing.T) {
 	m := New(10000)
 	payload := []byte{0xde, 0xad, 0xbe, 0xef}
-	m.Write(9996, payload) // end=10000: grown 4096->8192->16384, clamped to 10000
+	m.Write(9996, payload) // end=10000, inside the one page
 	if !bytes.Equal(m.Read(9996, 4), payload) {
 		t.Error("write near the top of memory lost after clamped growth")
 	}
-	// The backing must have grown to exactly the clamp, not the overshoot.
 	if got := m.Read(9000, 4); !bytes.Equal(got, []byte{0, 0, 0, 0}) {
 		t.Errorf("untouched bytes below the write read %v, want zeros", got)
 	}
 }
 
 // TestByteAt pins the one-byte probe against ReadInto: the same bounds
-// panic, zeros past the lazy backing, and stores visible at once.
+// panic, zeros on untouched pages, and stores visible at once.
 func TestByteAt(t *testing.T) {
 	m := New(1 << 20)
 	panicOf := func(f func()) (v any) {
@@ -292,8 +289,8 @@ func TestByteAt(t *testing.T) {
 	if got := m.ByteAt(101); got != 2 {
 		t.Errorf("ByteAt after Write = %d, want 2", got)
 	}
-	if got := m.ByteAt(uint64(len(m.buf))); got != 0 {
-		t.Errorf("first byte past the grown backing = %d, want 0", got)
+	if got := m.ByteAt(pageSize); got != 0 {
+		t.Errorf("first byte of the untouched page after the written one = %d, want 0", got)
 	}
 	m.Write(101, []byte{9})
 	if got := m.ByteAt(101); got != 9 {

@@ -282,11 +282,12 @@ func TestWorkloadInjectAllocBudget(t *testing.T) {
 }
 
 // tracedAllocBudget is the per-message allocation budget of the device
-// datapath with event tracing ENABLED. The tracer's ring is allocated once
-// at construction and overwrite never grows it, port names are interned at
-// fabric build time, and every emit site writes a value event into the
-// preallocated ring — so turning tracing on must not move the marginal
-// per-message cost at all: the budget is the same as the untraced path.
+// datapath with event tracing ENABLED. The tracer's ring is allocated in a
+// bounded number of fixed chunks (at most capacity/8192, rounded up) and
+// overwrite never grows it, port names are interned at fabric build time,
+// and every emit site writes a value event into the ring — so turning
+// tracing on must not move the marginal per-message cost at all: the
+// budget is the same as the untraced path.
 const tracedAllocBudget = deviceAllocBudget
 
 // TestTracerEmitZeroAlloc pins Tracer.Emit at zero allocations per event,
@@ -307,7 +308,7 @@ func TestTracerEmitZeroAlloc(t *testing.T) {
 // kernel tracer installed and frames TID-stamped: every hop now records
 // route/queue/stall/txstart/deliver events, and the steady-state cost must
 // stay exactly zero allocations per frame-hop — emits are value writes into
-// the construction-time ring.
+// the ring, whose one chunk the warm-up rounds allocated.
 func TestTracedSwitchPathZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
 	tr := trace.New(1 << 12)

@@ -30,8 +30,10 @@
 // guarded by a single pointer test — with tracing disabled the simulation
 // executes the identical event sequence (golden fixtures stay byte-
 // identical) and the hot paths stay at their zero-allocation budgets. With
-// tracing enabled, Emit writes one value-typed Event into a preallocated
-// ring (overwriting the oldest when full) and allocates nothing; the only
+// tracing enabled, Emit writes one value-typed Event into a ring
+// (overwriting the oldest when full). The ring is allocated in fixed chunks
+// as Emit first reaches each one, so a run pays only for the events it
+// emits; once the ring has filled, Emit allocates nothing. The other
 // enabled-mode allocations are port-name interning (once per port) and
 // whatever a consumer builds at analysis time. internal/simbench pins both
 // budgets in CI.
@@ -165,17 +167,23 @@ func QPQPN(arg uint64) uint32 { return uint32(arg >> 48) }
 // QPVal unpacks the value of an ArgQP word.
 func QPVal(arg uint64) uint64 { return arg & 0xffffffffffff }
 
-// Tracer records events into a preallocated ring buffer. One Tracer serves
-// a whole system (all nodes share the kernel's timeline); it is installed
-// on the kernel before components are built (sim.Kernel.SetTracer) and
-// captured by each layer at construction. A nil *Tracer means tracing is
-// disabled; every call site guards with a single pointer test.
+// Tracer records events into a fixed-capacity ring buffer. One Tracer
+// serves a whole system (all nodes share the kernel's timeline); it is
+// installed on the kernel before components are built (sim.Kernel.SetTracer)
+// and captured by each layer at construction. A nil *Tracer means tracing
+// is disabled; every call site guards with a single pointer test.
+//
+// The ring is stored as fixed chunks of chunkLen events, each allocated the
+// first time Emit reaches it: memory stays bounded by the capacity but is
+// paid only for the events actually emitted, so a generously sized ring
+// costs nothing up front. Once every chunk exists, Emit never allocates.
 //
 // Tracer is not safe for concurrent use — exactly like the simulation state
 // it observes, it relies on the kernel's single-threaded event execution.
 type Tracer struct {
-	buf []Event
-	n   uint64 // total events ever emitted; buf[(n-1) % len(buf)] is newest
+	chunks   [][]Event // ring slot s lives at chunks[s/chunkLen][s%chunkLen]; nil until reached
+	capacity uint64    // ring capacity in events
+	n        uint64    // total events ever emitted; slot (n-1) % capacity is newest
 
 	tid uint32 // last issued frame trace id
 
@@ -183,22 +191,44 @@ type Tracer struct {
 	portIDs map[string]int32
 }
 
+// chunkLen is the ring's allocation unit: 8192 events, 256 KiB.
+const (
+	chunkShift = 13
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
 // New returns a tracer whose ring keeps the most recent capacity events.
 func New(capacity int) *Tracer {
 	if capacity < 1 {
 		panic("trace: ring capacity must be positive")
 	}
 	return &Tracer{
-		buf:     make([]Event, capacity),
-		portIDs: make(map[string]int32),
+		chunks:   make([][]Event, (capacity+chunkMask)>>chunkShift),
+		capacity: uint64(capacity),
+		portIDs:  make(map[string]int32),
 	}
 }
 
 // Emit appends one event, overwriting the oldest when the ring is full.
 // The receiver must be non-nil: emit sites guard with `if tr != nil`.
 func (t *Tracer) Emit(e Event) {
-	t.buf[t.n%uint64(len(t.buf))] = e
+	s := t.n % t.capacity
+	c := t.chunks[s>>chunkShift]
+	if c == nil {
+		c = t.newChunk(s)
+	}
+	c[s&chunkMask] = e
 	t.n++
+}
+
+// newChunk allocates the chunk holding slot s: chunkLen events, or what is
+// left of the capacity for the last chunk.
+func (t *Tracer) newChunk(s uint64) []Event {
+	base := s &^ chunkMask
+	c := make([]Event, min(chunkLen, t.capacity-base))
+	t.chunks[base>>chunkShift] = c
+	return c
 }
 
 // NextTID issues a fresh frame trace id (never 0, so the zero value on a
@@ -233,10 +263,10 @@ func (t *Tracer) PortName(id int32) string {
 
 // Len reports how many events the ring currently holds.
 func (t *Tracer) Len() int {
-	if t.n < uint64(len(t.buf)) {
+	if t.n < t.capacity {
 		return int(t.n)
 	}
-	return len(t.buf)
+	return int(t.capacity)
 }
 
 // Emitted reports how many events were ever emitted; Emitted()-Len() of
@@ -247,28 +277,28 @@ func (t *Tracer) Emitted() uint64 { return t.n }
 // consumer that needs a complete window must size New's capacity so this
 // stays zero across the window.
 func (t *Tracer) Overwritten() uint64 {
-	if t.n < uint64(len(t.buf)) {
+	if t.n < t.capacity {
 		return 0
 	}
-	return t.n - uint64(len(t.buf))
+	return t.n - t.capacity
 }
 
 // Events returns the retained events, oldest first. The slice is freshly
 // allocated; mutating it does not affect the ring.
 func (t *Tracer) Events() []Event {
 	out := make([]Event, 0, t.Len())
-	cap64 := uint64(len(t.buf))
 	start := uint64(0)
-	if t.n > cap64 {
-		start = t.n - cap64
+	if t.n > t.capacity {
+		start = t.n - t.capacity
 	}
 	for i := start; i < t.n; i++ {
-		out = append(out, t.buf[i%cap64])
+		s := i % t.capacity
+		out = append(out, t.chunks[s>>chunkShift][s&chunkMask])
 	}
 	return out
 }
 
 // Reset discards all retained events (port interning and the tid counter
-// survive, so in-flight frames keep valid ids). Scenario drivers call it
-// at the start of a measured window.
+// survive, so in-flight frames keep valid ids; allocated chunks are kept
+// for reuse). Scenarios call it at the start of a measured window.
 func (t *Tracer) Reset() { t.n = 0 }
